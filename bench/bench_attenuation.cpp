@@ -7,6 +7,7 @@
 // floating-point operations, so runtime grows much faster than the flops
 // count shrinks the rate.
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -56,20 +57,24 @@ int main() {
                  fmt_g(flops_anelastic / 1e6, 4), fmt_g(rate_anelastic, 3)});
   table.print();
 
+  const double flops_ratio = flops_anelastic / flops_elastic;
+  const double rate_change_pct = 100.0 * (rate_anelastic / rate_elastic - 1.0);
   AsciiTable cmp("Paper vs reproduced");
   cmp.set_header({"metric", "paper", "reproduced"});
   cmp.add_row({"runtime increase", "1.8x", fmt_g(time_ratio, 3) + "x"});
   cmp.add_row({"flops-rate change", "\"almost imperceptible\"",
-               fmt_g(100.0 * (rate_anelastic / rate_elastic - 1.0), 2) +
-                   " %"});
+               fmt_g(rate_change_pct, 2) + " %"});
   cmp.print();
 
+  // "Almost imperceptible" is read as a rate change within 5%.
+  const bool matches_paper = std::abs(rate_change_pct) < 5.0;
   std::printf(
       "\nWhy: the SLS memory-variable update streams %d extra arrays per\n"
       "element (5 deviatoric components x 3 SLS plus the 6 running sums)\n"
-      "but performs few flops on them, so time grows ~%.2fx while the\n"
-      "flops counter grows only %.2fx — the rate stays nearly flat, as\n"
-      "the paper observed.\n",
-      5 * 3 + 6, time_ratio, flops_anelastic / flops_elastic);
+      "but performs few flops on them, so time grows %.2fx while the\n"
+      "flops counter grows only %.2fx: the sustained rate changes by\n"
+      "%+.1f%%, which %s the paper's \"almost imperceptible\" drop.\n",
+      5 * 3 + 6, time_ratio, flops_ratio, rate_change_pct,
+      matches_paper ? "matches" : "differs from");
   return 0;
 }

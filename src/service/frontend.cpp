@@ -270,9 +270,8 @@ int ShardedFrontend::submit(const JobRequest& request) {
     enqueue = true;
   }
   if (enqueue) {
-    // Blocking backpressure OUTSIDE the front-end lock, exactly like the
-    // single-process service: a full fleet stalls this submitter without
-    // stalling workers or other submitters.
+    // Blocking backpressure OUTSIDE the front-end lock: a full fleet
+    // stalls this submitter without stalling workers or other submitters.
     const int queued_on = queues_.submit(home, entry);
     if (queued_on < 0) {
       fail_job(id, key,
@@ -326,8 +325,23 @@ void ShardedFrontend::run_one(const ShardQueueSet::Popped& popped,
       ++stats_.executed;
       stats_.retries +=
           static_cast<std::uint64_t>(std::max(0, out.attempts - 1));
-      stats_.priced_core_seconds += priced_core_seconds(
-          request, out.steps_executed, scheduler_.cost_model());
+      const CostModel& model = scheduler_.cost_model();
+      const double executed =
+          priced_core_seconds(request, out.steps_executed, model);
+      stats_.priced_core_seconds += executed;
+      stats_.retry_overhead_core_seconds +=
+          executed - priced_core_seconds(request, request.nsteps, model);
+      // What the same fault would have cost without checkpoints: the dead
+      // attempt's steps plus a full cold re-run.
+      if (out.attempts > 1 && !request.fault.empty()) {
+        const std::int64_t cold_steps =
+            request.nsteps +
+            std::min(request.fault.kill_step, request.nsteps);
+        stats_.cold_restart_core_seconds +=
+            priced_core_seconds(request, cold_steps, model);
+      } else {
+        stats_.cold_restart_core_seconds += executed;
+      }
       ShardStats& ss = shard_stats_[static_cast<std::size_t>(executing_shard)];
       ++ss.executed;
       if (stolen) {
@@ -527,6 +541,10 @@ const metrics::Registry& ShardedFrontend::registry() {
   registry_.gauge("frontend.jobs_per_minute").set(s.jobs_per_minute());
   registry_.gauge("frontend.queue_peak")
       .set(static_cast<double>(s.queue_peak));
+  registry_.gauge("frontend.retry_overhead_core_seconds")
+      .set(s.retry_overhead_core_seconds);
+  registry_.gauge("frontend.cold_restart_core_seconds")
+      .set(s.cold_restart_core_seconds);
   return registry_;
 }
 
@@ -553,6 +571,10 @@ void ShardedFrontend::write_json_report(std::ostream& os) const {
   os << "    \"predicted_core_seconds\": " << s.predicted_core_seconds
      << ",\n";
   os << "    \"priced_core_seconds\": " << s.priced_core_seconds << ",\n";
+  os << "    \"retry_overhead_core_seconds\": "
+     << s.retry_overhead_core_seconds << ",\n";
+  os << "    \"cold_restart_core_seconds\": "
+     << s.cold_restart_core_seconds << ",\n";
   os << "    \"wall_seconds\": " << s.wall_seconds << ",\n";
   os << "    \"jobs_per_minute\": " << s.jobs_per_minute() << "\n";
   os << "  },\n  \"shards\": [\n";

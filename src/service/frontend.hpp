@@ -1,16 +1,18 @@
 #pragma once
 
 /// \file frontend.hpp
-/// Sharded campaign front-end (ISSUE 9): the "millions of users" step of
-/// the ROADMAP. One process-wide front door accepts job requests (C++
-/// values or JSON lines — the `sfg_frontd` protocol) and routes each to
-/// one of N in-process service shards by consistent hashing on the FNV-1a
-/// content key, so duplicate requests from *different* users coalesce
-/// globally no matter which user submitted first.
+/// The campaign service: the paper's §6 multi-event campaign as a
+/// long-running process. One front door accepts job requests (C++ values
+/// or JSON lines — the `sfg_frontd` protocol) and routes each to one of N
+/// in-process shards by consistent hashing on the FNV-1a content key, so
+/// duplicate requests from *different* users coalesce globally no matter
+/// which user submitted first. A 1-shard front-end
+/// (`num_shards = 1, workers_per_shard = N`) is the plain campaign
+/// service: one bounded queue drained by N workers.
 ///
 /// Anatomy of one shard: a bounded admission queue (priority desc, cost
-/// asc, FIFO — the ISSUE-5 order), a fixed worker pool, and a TieredCache
-/// (an in-memory LRU of parsed results over the ONE shared on-disk
+/// asc, FIFO — QueueOrder), a fixed worker pool, and a TieredCache (an
+/// in-memory LRU of parsed results over the ONE shared on-disk
 /// ResultStore). The scheduler (capacity-model admission), mesh cache and
 /// result store are shared across shards; the ring keeps each key's
 /// lookups on one shard's LRU so the zipfian head stays resident.
@@ -26,6 +28,13 @@
 ///        least-loaded shard, and idle workers of other shards STEAL
 ///        from saturated/halted queues — a killed shard's backlog drains
 ///        with zero lost jobs (the fault-injection contract).
+///
+/// A worker executes its job over an smpi::World with periodic
+/// checkpoints, retries fault-aborted attempts from the last consistent
+/// checkpoint set, stores the result content-addressed, and completes the
+/// job and every coalesced duplicate. FrontendStats prices the executed
+/// steps with the capacity model, against the fault-free price (retry
+/// overhead) and against cold re-runs after the same faults.
 ///
 /// Latency accounting: every record carries submit/done times on the
 /// front-end clock; the load-test harness (loadgen.*) turns them into
@@ -118,7 +127,13 @@ struct FrontendStats {
   std::uint64_t mesh_cache_misses = 0;
   std::size_t queue_peak = 0;        ///< max over shards
   double predicted_core_seconds = 0.0;
-  double priced_core_seconds = 0.0;
+  double priced_core_seconds = 0.0;  ///< executed steps, model-priced
+  /// Core-seconds of work re-marched because of faults (executed minus
+  /// the fault-free price of every computed job) — what retry costs.
+  double retry_overhead_core_seconds = 0.0;
+  /// What the same faults would have cost with cold re-runs instead of
+  /// retry-from-checkpoint (model-priced; compare with priced above).
+  double cold_restart_core_seconds = 0.0;
   double wall_seconds = 0.0;
 
   double cache_hit_rate() const {
@@ -181,15 +196,6 @@ class ShardQueueSet {
   std::size_t peak(int shard) const;
 
  private:
-  struct Order {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      if (a.cost_core_seconds != b.cost_core_seconds)
-        return a.cost_core_seconds < b.cost_core_seconds;
-      return a.seq < b.seq;
-    }
-  };
-
   int spill_target_locked(int home) const;
   int steal_source_locked(int shard) const;
 
@@ -199,7 +205,7 @@ class ShardQueueSet {
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::vector<std::set<QueueEntry, Order>> queues_;
+  std::vector<std::set<QueueEntry, QueueOrder>> queues_;
   std::vector<std::size_t> peaks_;
   std::vector<bool> halted_;
   std::uint64_t next_seq_ = 0;

@@ -1,31 +1,19 @@
 #pragma once
 
 /// \file queue.hpp
-/// Bounded MPMC admission queue of the campaign service (ISSUE 5).
+/// The queued unit of work of the front-end's shard queues
+/// (ShardQueueSet, frontend.hpp) and the order they pop in.
 ///
-/// Many submitter threads push, many worker threads pop. The queue is
-/// BOUNDED: `submit` blocks while the queue is full (backpressure — the
-/// paper's campaigns were gated by queue limits on every machine, §6),
-/// `try_submit` refuses instead. Ordering is cost-aware: higher priority
-/// first, then cheapest predicted completion first (shortest-job-first
-/// within a priority band maximizes jobs/minute), then FIFO by submission
-/// sequence so equal jobs never starve or reorder.
-///
-/// `close()` wakes everyone: pending entries still drain, then `pop`
-/// returns nullopt and further submits fail. All operations are
-/// linearizable under one internal mutex — contention is per-job, not
-/// per-element, so this is nowhere near any hot path.
+/// Ordering is cost-aware: higher priority first, then cheapest predicted
+/// completion first (shortest-job-first within a priority band maximizes
+/// jobs/minute), then FIFO by submission sequence so equal jobs never
+/// starve or reorder.
 
-#include <condition_variable>
-#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <optional>
-#include <set>
 
 namespace sfg::service {
 
-/// One queued unit of work (the record itself stays with the service).
+/// One queued unit of work (the record itself stays with the front-end).
 struct QueueEntry {
   int job_id = -1;
   int priority = 0;             ///< higher runs first
@@ -33,93 +21,14 @@ struct QueueEntry {
   std::uint64_t seq = 0;        ///< FIFO tiebreak, assigned by the queue
 };
 
-class JobQueue {
- public:
-  explicit JobQueue(std::size_t capacity) : capacity_(capacity) {}
-
-  JobQueue(const JobQueue&) = delete;
-  JobQueue& operator=(const JobQueue&) = delete;
-
-  /// Blocking submit: waits while the queue is full. Returns false iff the
-  /// queue was closed (before or during the wait) — the entry is dropped.
-  bool submit(QueueEntry entry) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || entries_.size() < capacity_; });
-    if (closed_) return false;
-    insert_locked(entry);
-    not_empty_.notify_one();
-    return true;
+/// Pop order: priority desc, then cost asc, then seq asc.
+struct QueueOrder {
+  bool operator()(const QueueEntry& a, const QueueEntry& b) const {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    if (a.cost_core_seconds != b.cost_core_seconds)
+      return a.cost_core_seconds < b.cost_core_seconds;
+    return a.seq < b.seq;
   }
-
-  /// Non-blocking submit: false when full or closed.
-  bool try_submit(QueueEntry entry) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || entries_.size() >= capacity_) return false;
-    insert_locked(entry);
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocking pop of the best entry (priority desc, cost asc, seq asc).
-  /// Returns nullopt only when the queue is closed AND drained.
-  std::optional<QueueEntry> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !entries_.empty(); });
-    if (entries_.empty()) return std::nullopt;  // closed and drained
-    QueueEntry e = *entries_.begin();
-    entries_.erase(entries_.begin());
-    not_full_.notify_one();
-    return e;
-  }
-
-  /// Close the queue: submits fail from now on, pops drain then end.
-  void close() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
-  std::size_t capacity() const { return capacity_; }
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-  /// High-water mark of the queue depth (backpressure telemetry).
-  std::size_t peak_size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return peak_;
-  }
-
- private:
-  struct Order {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      if (a.cost_core_seconds != b.cost_core_seconds)
-        return a.cost_core_seconds < b.cost_core_seconds;
-      return a.seq < b.seq;
-    }
-  };
-
-  void insert_locked(QueueEntry& entry) {
-    entry.seq = next_seq_++;
-    entries_.insert(entry);
-    if (entries_.size() > peak_) peak_ = entries_.size();
-  }
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::set<QueueEntry, Order> entries_;
-  std::uint64_t next_seq_ = 0;
-  std::size_t peak_ = 0;
-  bool closed_ = false;
 };
 
 }  // namespace sfg::service

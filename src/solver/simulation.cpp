@@ -1727,14 +1727,15 @@ EnergySnapshot Simulation::compute_energy() {
     }
   }
 
-  // Fluid energy: kinetic = |grad chi|^2 / (2 rho), compressional =
+  // Fluid energy for the displacement potential chi (u = grad chi / rho):
+  // kinetic = |grad chi_dot|^2 / (2 rho), compressional =
   // chi_ddot^2 / (2 kappa) — evaluated element-wise via the same scheme.
   for (int e : fluid_elements_) {
     const std::size_t off = mesh_.local_offset(e);
     for (int p = 0; p < n3; ++p)
-      ws.chi[static_cast<std::size_t>(p)] = chi_[static_cast<std::size_t>(
-          mesh_.ibool[off + static_cast<std::size_t>(p)])];
-    // Reference-coordinate gradients of chi.
+      ws.chi[static_cast<std::size_t>(p)] = chi_dot_[static_cast<
+          std::size_t>(mesh_.ibool[off + static_cast<std::size_t>(p)])];
+    // Reference-coordinate gradients of chi_dot.
     for (int k = 0; k < ngll; ++k) {
       for (int j = 0; j < ngll; ++j) {
         for (int i = 0; i < ngll; ++i) {

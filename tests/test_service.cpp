@@ -1,25 +1,18 @@
-// Campaign service tests (ISSUE 5). Covers the bounded MPMC queue
-// (ordering, backpressure, close, concurrent submitters — the TSan
-// target), the content-addressed result store, capacity-model admission,
-// and the acceptance campaign: >= 20 mixed-priority jobs with duplicates
-// and an injected mid-job rank death, every seismogram bit-identical to a
-// standalone run, duplicates served from cache, and the recovered job
-// provably cheaper than a cold re-run under the same pricing model.
+// Campaign service building blocks: the content key (physics fields
+// only), the content-addressed result store, and capacity-model
+// admission. The service itself — queueing, coalescing, retries and the
+// acceptance campaign — is tested on ShardedFrontend in test_frontend.cpp.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
-#include <sstream>
-#include <thread>
+#include <string>
 #include <vector>
 
-#include "mesh/cartesian.hpp"
-#include "runtime/exchanger.hpp"
-#include "service/service.hpp"
+#include "service/result_store.hpp"
+#include "service/scheduler.hpp"
 
 namespace sfg::service {
 namespace {
@@ -31,94 +24,6 @@ std::string temp_dir(const std::string& name) {
                           std::to_string(counter++);
   std::filesystem::remove_all(dir);  // no stale state from earlier runs
   return dir;
-}
-
-// ---- queue ----
-
-TEST(JobQueue, PopsPriorityDescThenCostAscThenFifo) {
-  JobQueue q(16);
-  ASSERT_TRUE(q.try_submit({/*job_id=*/0, /*priority=*/0, /*cost=*/5.0}));
-  ASSERT_TRUE(q.try_submit({1, 2, 9.0}));
-  ASSERT_TRUE(q.try_submit({2, 2, 3.0}));
-  ASSERT_TRUE(q.try_submit({3, 0, 5.0}));  // same as job 0: FIFO after it
-  ASSERT_TRUE(q.try_submit({4, 1, 1.0}));
-
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) order.push_back(q.pop()->job_id);
-  EXPECT_EQ(order, (std::vector<int>{2, 1, 4, 0, 3}));
-}
-
-TEST(JobQueue, TrySubmitRefusesWhenFull) {
-  JobQueue q(2);
-  EXPECT_TRUE(q.try_submit({0}));
-  EXPECT_TRUE(q.try_submit({1}));
-  EXPECT_FALSE(q.try_submit({2}));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.peak_size(), 2u);
-  q.pop();
-  EXPECT_TRUE(q.try_submit({2}));
-}
-
-TEST(JobQueue, SubmitBlocksOnBackpressureUntilPop) {
-  JobQueue q(1);
-  ASSERT_TRUE(q.try_submit({0}));
-  std::atomic<bool> submitted{false};
-  std::thread t([&] {
-    EXPECT_TRUE(q.submit({1}));  // blocks: queue is full
-    submitted = true;
-  });
-  // The submitter cannot finish while the queue is full. (A sleep cannot
-  // prove blocking, but TSan + the final assertions prove the handoff.)
-  EXPECT_EQ(q.pop()->job_id, 0);
-  t.join();
-  EXPECT_TRUE(submitted);
-  EXPECT_EQ(q.pop()->job_id, 1);
-}
-
-TEST(JobQueue, CloseDrainsPendingThenEndsAndRefusesSubmits) {
-  JobQueue q(8);
-  ASSERT_TRUE(q.try_submit({0}));
-  ASSERT_TRUE(q.try_submit({1}));
-  q.close();
-  EXPECT_FALSE(q.try_submit({2}));
-  EXPECT_FALSE(q.submit({3}));
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // drained: nullopt, no hang
-}
-
-TEST(JobQueue, ConcurrentSubmittersAndWorkersLoseNothing) {
-  // The TSan scenario: 4 submitters x 64 entries racing 4 workers through
-  // a 16-deep queue. Every entry must come out exactly once.
-  const int kSubmitters = 4, kWorkers = 4, kPerSubmitter = 64;
-  JobQueue q(16);
-  std::vector<std::thread> threads;
-  for (int s = 0; s < kSubmitters; ++s)
-    threads.emplace_back([&, s] {
-      for (int i = 0; i < kPerSubmitter; ++i) {
-        QueueEntry e;
-        e.job_id = s * kPerSubmitter + i;
-        e.priority = i % 3;
-        e.cost_core_seconds = static_cast<double>(i % 7);
-        ASSERT_TRUE(q.submit(e));
-      }
-    });
-  std::mutex popped_mutex;
-  std::set<int> popped;
-  for (int w = 0; w < kWorkers; ++w)
-    threads.emplace_back([&] {
-      while (auto e = q.pop()) {
-        std::lock_guard<std::mutex> lock(popped_mutex);
-        EXPECT_TRUE(popped.insert(e->job_id).second)
-            << "entry " << e->job_id << " popped twice";
-      }
-    });
-  for (int s = 0; s < kSubmitters; ++s) threads[static_cast<size_t>(s)].join();
-  q.close();
-  for (std::size_t t = kSubmitters; t < threads.size(); ++t)
-    threads[t].join();
-  EXPECT_EQ(popped.size(),
-            static_cast<std::size_t>(kSubmitters * kPerSubmitter));
 }
 
 // ---- content key ----
@@ -284,294 +189,6 @@ TEST(Scheduler, PricesWithCapacityModelAndEnforcesBudgets) {
     EXPECT_TRUE(sched.admit(r, &why).has_value());
     EXPECT_FALSE(sched.admit(r, &why).has_value());  // budget exhausted
   }
-}
-
-// ---- standalone references for the acceptance campaign ----
-
-MaterialSample rock() {
-  MaterialSample s;
-  s.rho = 2500.0;
-  s.vp = 3000.0;
-  s.vs = 1800.0;
-  s.q_mu = 80.0;
-  return s;
-}
-
-MaterialSample water() {
-  MaterialSample s;
-  s.rho = 1000.0;
-  s.vp = 1500.0;
-  s.vs = 0.0;
-  s.q_mu = 0.0;
-  return s;
-}
-
-MaterialSample sample_for(const JobRequest& r, double z) {
-  if (r.model == BoxModel::FluidLayer && z >= 0.25 * r.extent_m &&
-      z < 0.5 * r.extent_m)
-    return water();
-  return rock();
-}
-
-PointSource source_for(const JobRequest& r) {
-  PointSource src;
-  src.x = r.source.x;
-  src.y = r.source.y;
-  src.z = r.source.z;
-  src.force = r.source.force;
-  src.stf = ricker_wavelet(r.source.f0, r.source.t0);
-  return src;
-}
-
-/// Reference execution of `r` with plain solver calls (no service, no
-/// faults, no checkpoints): what the campaign's results must equal bit for
-/// bit.
-JobResult standalone_run(const JobRequest& r) {
-  GllBasis basis(4);
-  CartesianBoxSpec spec;
-  spec.nx = spec.ny = spec.nz = r.nex;
-  spec.lx = spec.ly = spec.lz = r.extent_m;
-  JobResult out;
-  out.seismograms.resize(r.stations.size());
-  SimulationConfig cfg;
-  cfg.dt = r.dt;
-
-  if (r.nranks == 1) {
-    HexMesh mesh = build_cartesian_box(spec, basis);
-    MaterialFields mat = assign_materials(
-        mesh,
-        [&](double, double, double z) { return sample_for(r, z); });
-    Simulation sim(mesh, basis, mat, cfg);
-    sim.add_source(source_for(r));
-    std::vector<int> ids;
-    for (const StationSpec& st : r.stations)
-      ids.push_back(sim.add_receiver(st.x, st.y, st.z));
-    sim.run(r.nsteps);
-    for (std::size_t s = 0; s < ids.size(); ++s)
-      out.seismograms[s] = sim.seismogram(ids[s]);
-    return out;
-  }
-
-  smpi::run_ranks(r.nranks, [&](smpi::Communicator& comm) {
-    CartesianSlice slice = build_cartesian_slice(
-        spec, basis, r.nranks, 1, 1, comm.rank(), 0, 0);
-    std::vector<smpi::PointCandidate> cands;
-    for (std::size_t n = 0; n < slice.boundary_keys.size(); ++n)
-      cands.push_back({slice.boundary_keys[n], slice.boundary_points[n]});
-    smpi::Exchanger ex = smpi::Exchanger::build(comm, cands);
-    MaterialFields mat = assign_materials(
-        slice.mesh,
-        [&](double, double, double z) { return sample_for(r, z); });
-    Simulation sim(slice.mesh, basis, mat, cfg, &comm, &ex);
-    sim.add_source_global(source_for(r));
-    std::vector<std::pair<std::size_t, int>> owned;
-    for (std::size_t s = 0; s < r.stations.size(); ++s) {
-      const int id = sim.add_receiver_global(
-          r.stations[s].x, r.stations[s].y, r.stations[s].z);
-      if (id >= 0) owned.emplace_back(s, id);
-    }
-    sim.run(r.nsteps);
-    for (const auto& [s, id] : owned)
-      out.seismograms[s] = sim.seismogram(id);
-  });
-  return out;
-}
-
-// ---- the acceptance campaign ----
-
-TEST(CampaignService, MixedCampaignWithFaultsDuplicatesAndCache) {
-  ServiceConfig cfg;
-  cfg.num_workers = 3;
-  cfg.queue_capacity = 8;  // < campaign size: exercises backpressure
-  cfg.max_retries = 2;
-  cfg.work_dir = temp_dir("campaign");
-
-  // 10 distinct physics shapes: serial and 2-rank, both models, varying
-  // event depth and step counts.
-  std::vector<JobRequest> shapes;
-  for (int i = 0; i < 10; ++i) {
-    JobRequest r = small_request();
-    r.nranks = (i % 2 == 0) ? 1 : 2;
-    r.model = (i % 3 == 0) ? BoxModel::FluidLayer : BoxModel::UniformRock;
-    r.source.z = 510.0 + 20.0 * i;
-    r.nsteps = 40 + 2 * (i % 4);
-    r.stations = {{700.0, 510.0, 480.0}, {260.0, 770.0, 700.0}};
-    shapes.push_back(r);
-  }
-  // The fault scenario: shape 9 (2-rank) dies on rank 1 at step 25 with a
-  // 10-step checkpoint cadence -> recovery resumes from step 20.
-  JobRequest faulted = shapes[9];
-  faulted.nsteps = 50;
-  faulted.checkpoint_interval_steps = 10;
-  faulted.fault.kill_rank = 1;
-  faulted.fault.kill_step = 25;
-  faulted.priority = 3;
-
-  CampaignService service(cfg);
-  std::vector<int> ids;
-  std::vector<JobRequest> submitted;
-  // 10 primaries + 8 duplicates (same physics, different priorities) + the
-  // faulted job + 1 rejected = 20 submissions, from 2 submitter threads.
-  std::vector<JobRequest> batch_a, batch_b;
-  for (int i = 0; i < 10; ++i) {
-    JobRequest r = shapes[static_cast<std::size_t>(i)];
-    r.priority = i % 3;
-    (i % 2 == 0 ? batch_a : batch_b).push_back(r);
-  }
-  for (int i = 0; i < 8; ++i) {
-    JobRequest dup = shapes[static_cast<std::size_t>(i)];
-    dup.priority = 2 - i % 3;  // different knobs, same physics
-    dup.checkpoint_interval_steps = (i % 2 == 0) ? 0 : 25;
-    (i % 2 == 0 ? batch_b : batch_a).push_back(dup);
-  }
-  batch_a.push_back(faulted);
-  JobRequest malformed = small_request();
-  malformed.stations.clear();
-  batch_b.push_back(malformed);
-
-  std::mutex ids_mutex;
-  auto submit_batch = [&](const std::vector<JobRequest>& batch) {
-    for (const JobRequest& r : batch) {
-      const int id = service.submit(r);
-      std::lock_guard<std::mutex> lock(ids_mutex);
-      ids.push_back(id);
-      submitted.push_back(r);
-    }
-  };
-  std::thread ta(submit_batch, batch_a), tb(submit_batch, batch_b);
-  ta.join();
-  tb.join();
-  ASSERT_EQ(ids.size(), 20u);
-  service.wait_all();
-
-  // Every non-rejected job reached Done; the malformed one was rejected.
-  int done = 0, rejected = 0, computed = 0, cache_hits = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const JobRecord rec = service.job(ids[i]);
-    if (rec.state == JobState::Rejected) {
-      ++rejected;
-      EXPECT_TRUE(rec.request.stations.empty());
-      EXPECT_NE(rec.error.find("station"), std::string::npos) << rec.error;
-      continue;
-    }
-    ASSERT_EQ(rec.state, JobState::Done)
-        << "job " << rec.id << ": " << rec.error;
-    ++done;
-    rec.cache_hit ? ++cache_hits : ++computed;
-  }
-  EXPECT_EQ(rejected, 1);
-  EXPECT_EQ(done, 19);
-  EXPECT_EQ(computed, 11);   // 10 shapes + the faulted variant's... (same
-                             // physics as shape 9 with nsteps=50: distinct)
-  EXPECT_EQ(cache_hits, 8);  // every duplicate served without recompute
-
-  // Bit-identity of EVERY seismogram against a standalone solver run of
-  // the same request — including the faulted job, whose recovery must not
-  // leave a trace in the physics.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const JobRecord rec = service.job(ids[i]);
-    if (rec.state != JobState::Done) continue;
-    const auto got = service.result(ids[i]);
-    ASSERT_TRUE(got.has_value()) << "job " << rec.id;
-    const JobResult expected = standalone_run(submitted[i]);
-    ASSERT_EQ(got->seismograms.size(), expected.seismograms.size());
-    for (std::size_t s = 0; s < expected.seismograms.size(); ++s) {
-      ASSERT_EQ(got->seismograms[s].time, expected.seismograms[s].time)
-          << "job " << rec.id << " station " << s;
-      ASSERT_EQ(got->seismograms[s].displ, expected.seismograms[s].displ)
-          << "job " << rec.id << " station " << s
-          << ": campaign result is not bit-identical to a standalone run";
-    }
-  }
-
-  // The killed job recovered from the periodic checkpoint...
-  int faulted_id = -1;
-  for (std::size_t i = 0; i < submitted.size(); ++i)
-    if (!submitted[i].fault.empty()) faulted_id = ids[i];
-  ASSERT_GE(faulted_id, 0);
-  const JobRecord frec = service.job(faulted_id);
-  ASSERT_EQ(frec.state, JobState::Done) << frec.error;
-  EXPECT_EQ(frec.attempts, 2);
-  EXPECT_EQ(frec.resumed_from_step, 20)
-      << "retry must resume from the last consistent checkpoint set";
-  // ...and executed fewer steps than a cold re-run would have: 25 (dead
-  // attempt) + 30 (resume 20->50) = 55 < 50 + 25 = 75.
-  EXPECT_EQ(frec.steps_executed, 55);
-
-  const CampaignStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, 20u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.completed, 19u);
-  EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.cache_hits, 8u);
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_GT(stats.mesh_cache_hits, 0u) << "duplicate shapes share meshes";
-  // Replay pricing: the campaign with retry-from-checkpoint costs less
-  // than the same campaign with cold re-runs after the same fault.
-  EXPECT_GT(stats.priced_core_seconds, 0.0);
-  EXPECT_LT(stats.priced_core_seconds, stats.cold_restart_core_seconds)
-      << "recovery from checkpoint must beat a cold re-run";
-  EXPECT_GT(stats.retry_overhead_core_seconds, 0.0);
-
-  // Metrics registry + JSON report.
-  const metrics::Registry& reg = service.registry();
-  EXPECT_EQ(reg.counters().at("service.jobs_submitted").value(), 20u);
-  EXPECT_EQ(reg.counters().at("service.cache_hits").value(), 8u);
-  std::ostringstream report;
-  service.write_json_report(report);
-  const std::string json = report.str();
-  EXPECT_NE(json.find("\"jobs_submitted\": 20"), std::string::npos);
-  EXPECT_NE(json.find("\"cache_hit_rate\""), std::string::npos);
-  EXPECT_NE(json.find("\"retry_overhead_core_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"state\": \"rejected\""), std::string::npos);
-
-  service.shutdown();  // idempotent with the destructor
-}
-
-TEST(CampaignService, SecondCampaignServesEverythingFromDiskCache) {
-  ServiceConfig cfg;
-  cfg.num_workers = 2;
-  cfg.work_dir = temp_dir("campaign_reuse");
-  const JobRequest r = small_request();
-  {
-    CampaignService first(cfg);
-    const int id = first.submit(r);
-    first.wait_all();
-    ASSERT_EQ(first.job(id).state, JobState::Done);
-    EXPECT_FALSE(first.job(id).cache_hit);
-  }
-  CampaignService second(cfg);
-  const int id = second.submit(r);
-  // A store hit is resolved synchronously at submit time.
-  const JobRecord rec = second.job(id);
-  EXPECT_EQ(rec.state, JobState::Done);
-  EXPECT_TRUE(rec.cache_hit);
-  EXPECT_EQ(rec.attempts, 0);
-  second.wait_all();
-  expect_results_equal(*second.result(id), standalone_run(r));
-}
-
-TEST(CampaignService, ExhaustedRetriesFailTheJobAndItsDuplicates) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
-  cfg.max_retries = 0;  // the injected death cannot be retried
-  cfg.work_dir = temp_dir("campaign_fail");
-  CampaignService service(cfg);
-  JobRequest doomed = small_request();
-  doomed.nranks = 2;
-  doomed.nsteps = 40;
-  doomed.fault.kill_rank = 1;
-  doomed.fault.kill_step = 10;
-  const int id = service.submit(doomed);
-  const int dup = service.submit(doomed);
-  service.wait_all();
-  const JobRecord rec = service.job(id);
-  EXPECT_EQ(rec.state, JobState::Failed);
-  EXPECT_NE(rec.error.find("attempt"), std::string::npos) << rec.error;
-  const JobRecord drec = service.job(dup);
-  EXPECT_EQ(drec.state, JobState::Failed);
-  EXPECT_FALSE(service.result(id).has_value());
-  EXPECT_EQ(service.stats().failed, 2u);
 }
 
 }  // namespace
